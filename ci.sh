@@ -9,6 +9,13 @@ cargo build --release
 echo "==> tier 1: test"
 cargo test -q
 
+# Tier-1 tests only the root package. This step gates every crate's own
+# unit and integration tests (the vendored stand-ins excluded),
+# serialized because several suites bind loopback sockets.
+echo "==> whole workspace test (serialized)"
+cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude parking_lot \
+    --exclude proptest --exclude rand --exclude serde --exclude serde_json -- --test-threads=1
+
 echo "==> fmt check (workspace)"
 cargo fmt --all --check
 

@@ -141,15 +141,23 @@ enum Storage {
     /// Checkpointed storage for memory-constrained owners (the paper's
     /// sensor nodes hold 8 KB of RAM total): every `interval`-th element is
     /// kept, anything else is recomputed forward from the checkpoint below
-    /// it. With `interval = ⌈√n⌉` this is the classic O(√n) space /
-    /// O(√n) amortized time point on the hash-chain traversal curve.
+    /// it. With `interval = ⌈√n⌉` this is the classic two-level traversal
+    /// (cf. Jakobsson, ISIT 2002): sequential disclosure fills the cursor's
+    /// segment once from its checkpoint and then reads it from `segment`,
+    /// so it costs O(1) amortized hashes per element (about one) in
+    /// O(√n) space — 2√n digests once disclosing, √n before.
     Compact {
-        /// Retained so the chain can be frozen to a [`FrozenChain`] and
-        /// later re-derived from `h_0`.
-        seed_hash: Digest,
         interval: u64,
-        /// `checkpoints[k] = h_{k·interval}` (checkpoint 0 is the seed hash).
+        /// `checkpoints[k] = h_{k·interval}`. Checkpoint 0 is the seed
+        /// hash, which [`HashChain::freeze`] keeps so the chain can be
+        /// re-derived from `h_0`.
         checkpoints: Vec<Digest>,
+        /// Elements `k·interval + 1 ..= min(k·interval + interval − 1, len)`
+        /// of segment `k = segment_k`, filled on the first disclosure in
+        /// that segment. Empty (and unallocated) until the chain first
+        /// discloses; a filled segment is never empty.
+        segment: Vec<Digest>,
+        segment_k: u64,
         len: u64,
     },
     /// Lazy dyadic checkpointing: one pebble per power-of-two level,
@@ -299,8 +307,9 @@ impl HashChain {
     }
 
     /// Generate a chain with O(√n) checkpointed storage instead of keeping
-    /// all elements — for memory-constrained owners (sensor nodes). Element
-    /// access costs up to `⌈√n⌉` hash recomputations.
+    /// all elements — for memory-constrained owners (sensor nodes).
+    /// Sequential disclosure costs about one hash per element amortized;
+    /// random access through [`HashChain::element`] costs up to `⌈√n⌉`.
     #[must_use]
     pub fn generate_compact(
         alg: Algorithm,
@@ -325,7 +334,8 @@ impl HashChain {
     fn compact_from_h0(alg: Algorithm, kind: ChainKind, len: u64, seed_hash: Digest) -> HashChain {
         debug_assert!(len >= 2 && len.is_multiple_of(2));
         let interval = (len as f64).sqrt().ceil() as u64;
-        let mut checkpoints = vec![seed_hash];
+        let mut checkpoints = Vec::with_capacity((len / interval) as usize + 1);
+        checkpoints.push(seed_hash);
         let mut cur = seed_hash;
         for i in 1..=len {
             cur = derive(alg, kind, i, &cur);
@@ -337,9 +347,10 @@ impl HashChain {
             alg,
             kind,
             storage: Storage::Compact {
-                seed_hash,
                 interval,
                 checkpoints,
+                segment: Vec::new(),
+                segment_k: 0,
                 len,
             },
             next: len - 1,
@@ -467,6 +478,45 @@ impl HashChain {
         cur
     }
 
+    /// Compact storage only: the element at `index`, read from its
+    /// checkpoint or from the cached cursor segment, which is refilled
+    /// (`interval − 1` hashes at most) when `index` leaves it. Disclosure
+    /// descends, so each segment is filled once per traversal.
+    fn compact_element(&mut self, index: u64) -> Digest {
+        let alg = self.alg;
+        let kind = self.kind;
+        let Storage::Compact {
+            interval,
+            checkpoints,
+            segment,
+            segment_k,
+            len,
+            ..
+        } = &mut self.storage
+        else {
+            unreachable!("caller checked");
+        };
+        debug_assert!(index <= *len, "element index out of range");
+        let k = index / *interval;
+        let base = k * *interval;
+        if index == base {
+            return checkpoints[k as usize];
+        }
+        if segment.is_empty() || *segment_k != k {
+            if segment.capacity() == 0 {
+                segment.reserve_exact(*interval as usize - 1);
+            }
+            segment.clear();
+            let mut cur = checkpoints[k as usize];
+            for i in (base + 1)..=(base + *interval - 1).min(*len) {
+                cur = derive(alg, kind, i, &cur);
+                segment.push(cur);
+            }
+            *segment_k = k;
+        }
+        segment[(index - base - 1) as usize]
+    }
+
     /// Hash algorithm of this chain.
     #[must_use]
     pub fn algorithm(&self) -> Algorithm {
@@ -560,12 +610,13 @@ impl HashChain {
     }
 
     /// Like [`HashChain::element`], but allowed to advance internal
-    /// pebbles (dyadic storage) to keep sequential access cheap.
+    /// pebbles (dyadic storage) or refill the cursor segment (compact
+    /// storage) to keep sequential access cheap.
     fn element_mut_path(&mut self, index: u64) -> Digest {
-        if matches!(self.storage, Storage::Dyadic { .. }) {
-            self.dyadic_element(index)
-        } else {
-            self.element(index)
+        match self.storage {
+            Storage::Full(_) => self.element(index),
+            Storage::Compact { .. } => self.compact_element(index),
+            Storage::Dyadic { .. } => self.dyadic_element(index),
         }
     }
 
@@ -625,14 +676,19 @@ impl HashChain {
     }
 
     /// Bytes this chain's owner actually stores: all elements for full
-    /// storage (Table 2's signer strategy), or O(√n) checkpoints for
-    /// compact storage.
+    /// storage (Table 2's signer strategy), or O(√n) checkpoints plus the
+    /// cursor-segment buffer, once allocated, for compact storage.
     #[must_use]
     pub fn stored_bytes(&self) -> usize {
         match &self.storage {
             Storage::Full(e) => e.len() * self.alg.digest_len(),
-            Storage::Compact { checkpoints, .. } => {
-                checkpoints.len() * self.alg.digest_len() + 3 * std::mem::size_of::<u64>()
+            Storage::Compact {
+                checkpoints,
+                segment,
+                ..
+            } => {
+                (checkpoints.len() + segment.capacity()) * self.alg.digest_len()
+                    + 3 * std::mem::size_of::<u64>()
             }
             Storage::Dyadic {
                 pebbles, positions, ..
@@ -662,7 +718,7 @@ impl HashChain {
     pub fn freeze(&self) -> FrozenChain {
         let seed_hash = match &self.storage {
             Storage::Full(e) => e[0],
-            Storage::Compact { seed_hash, .. } => *seed_hash,
+            Storage::Compact { checkpoints, .. } => checkpoints[0],
             // The highest pebble is pinned at position 0 (the seed hash).
             Storage::Dyadic { pebbles, .. } => *pebbles.last().expect("levels >= 1"),
         };
@@ -1280,6 +1336,108 @@ mod compact_tests {
             "≤ √n hashes per access, got {}",
             c.invocations
         );
+    }
+
+    /// Walk `full` and `compact` in lockstep with `disclose_pair`, with one
+    /// single `disclose` after `len / 4` pairs so the next pair skips a
+    /// misaligned element; every disclosure must match and verify.
+    fn assert_lockstep(full: &mut HashChain, compact: &mut HashChain) {
+        let kind = compact.kind();
+        let len = compact.len();
+        let mut verifier = ChainVerifier::new(compact.algorithm(), kind, compact.anchor(), len);
+        let mut step = 0u64;
+        loop {
+            if step == len / 4 {
+                let single = compact.disclose();
+                assert_eq!(full.disclose(), single, "len={len} single disclose");
+                if let Ok((i, e)) = single {
+                    verifier.accept_role(i, &e, Role::Announce).unwrap();
+                }
+            }
+            let pair = compact.disclose_pair();
+            assert_eq!(full.disclose_pair(), pair, "len={len} step={step}");
+            let Ok(((ai, ae), (ki, ke))) = pair else {
+                break;
+            };
+            verifier.accept_role(ai, &ae, Role::Announce).unwrap();
+            verifier.accept_role(ki, &ke, Role::Disclose).unwrap();
+            step += 1;
+        }
+        assert_eq!(compact.remaining(), full.remaining());
+    }
+
+    #[test]
+    fn compact_disclosures_are_byte_identical_to_full() {
+        for len in [2u64, 4, 30, 64, 100, 1000, 1024, 1026, 4094] {
+            let kind = ChainKind::RoleBoundSignature;
+            let mut full = HashChain::from_seed(Algorithm::Sha1, kind, len, b"seg");
+            let mut compact = HashChain::from_seed_compact(Algorithm::Sha1, kind, len, b"seg");
+            assert_lockstep(&mut full, &mut compact);
+        }
+    }
+
+    #[test]
+    fn compact_traversal_costs_about_one_hash_per_element() {
+        let len = 1024u64;
+        let interval = 32; // ⌈√1024⌉
+        let mut compact = HashChain::from_seed_compact(
+            Algorithm::Sha1,
+            ChainKind::RoleBoundSignature,
+            len,
+            b"cost",
+        );
+        let scope = crate::counting::Scope::start();
+        let mut pairs = 0u64;
+        while compact.disclose_pair().is_ok() {
+            pairs += 1;
+        }
+        let c = scope.finish();
+        assert_eq!(pairs, len / 2 - 1, "walked the whole chain");
+        assert!(
+            c.invocations <= len + interval,
+            "{} hashes for a full traversal, bound {}",
+            c.invocations,
+            len + interval
+        );
+    }
+
+    #[test]
+    fn segment_buffer_is_lazy_exact_and_accounted() {
+        let len = 1024u64;
+        let mut compact =
+            HashChain::from_seed_compact(Algorithm::Sha1, ChainKind::RoleBoundAck, len, b"acct");
+        let fresh = compact.stored_bytes();
+        // Random access never allocates the buffer.
+        let _ = compact.element(777);
+        let _ = compact.peek();
+        assert_eq!(compact.stored_bytes(), fresh);
+        compact.disclose_pair().unwrap();
+        // One segment of ⌈√n⌉ − 1 = 31 digests, counted once allocated.
+        assert_eq!(compact.stored_bytes(), fresh + 31 * 20);
+        while compact.disclose_pair().is_ok() {}
+        assert_eq!(compact.stored_bytes(), fresh + 31 * 20, "buffer reused");
+    }
+
+    #[test]
+    fn freeze_thaw_mid_segment_is_identical() {
+        let len = 1024u64;
+        let kind = ChainKind::RoleBoundSignature;
+        let mut live = HashChain::from_seed_compact(Algorithm::Sha1, kind, len, b"mid");
+        let fresh = live.stored_bytes();
+        // Five pairs leave the cursor at 1013, inside segment 992..1023.
+        for _ in 0..5 {
+            live.disclose_pair().unwrap();
+        }
+        assert_eq!(live.remaining(), 1013);
+        let frozen = live.freeze();
+        let mut thawed = frozen.thaw();
+        assert_eq!(thawed.stored_bytes(), fresh, "thaw starts with no cache");
+        assert_eq!(thawed.remaining(), live.remaining());
+        assert_eq!(thawed.disclose(), live.disclose());
+        while let Ok(pair) = live.disclose_pair() {
+            assert_eq!(thawed.disclose_pair().unwrap(), pair);
+        }
+        assert_eq!(thawed.disclose_pair().unwrap_err(), ChainError::Exhausted);
     }
 }
 

@@ -12,10 +12,15 @@
 //! storage there costs ~40 KiB per flow (two chains × 1025 SHA-1
 //! digests) — at the measured ~14k hot flows/GB that is over half the
 //! hot-flow footprint — while √n checkpointing stores ~33 digests per
-//! chain (~1.3 KiB/flow) and amortizes to at most ⌈√n⌉ = 32 extra
-//! hashes per disclosure. So chains in `[SQRT_THRESHOLD,
-//! DYADIC_THRESHOLD)` default to [`ChainStorage::Sqrt`]: the default
-//! engine config now pebbles instead of keeping every element resident.
+//! chain (~1.3 KiB/flow), plus a 31-digest buffer for the segment the
+//! disclosure cursor is walking once the chain discloses. Sequential
+//! disclosure fills that buffer once per segment from its checkpoint,
+//! so it costs about one hash per disclosed element amortized — the
+//! same as the verifier's one-step check — not the ⌈√n⌉ − 1 = 31 a
+//! fresh recompute from the checkpoint would. So chains in
+//! `[SQRT_THRESHOLD, DYADIC_THRESHOLD)` default to
+//! [`ChainStorage::Sqrt`]: the default engine config checkpoints
+//! instead of keeping every element resident.
 //!
 //! The `ALPHA_CHAIN_STORAGE` environment variable overrides the choice
 //! for operators and benchmarks (`full` | `sqrt` | `dyadic`), exactly
@@ -35,8 +40,10 @@ pub const DYADIC_THRESHOLD: u64 = 4096;
 /// [`ChainStorage::Full`]. Set at the engine's default chain length on
 /// purpose: warm long-lived flows are exactly the population whose
 /// resident chain bytes dominate memory (~40 KiB/flow Full vs
-/// ~1.3 KiB/flow Sqrt at 1024 elements) while the recompute cost stays
-/// bounded at ⌈√n⌉ hashes per disclosure.
+/// ~1.3 KiB/flow Sqrt at 1024 elements, ~1.9 KiB once the disclosing
+/// chain holds its segment buffer) while sequential disclosure stays at about one hash per
+/// element amortized (one ⌈√n⌉ − 1 = 31-hash segment refill every 16
+/// exchanges).
 pub const SQRT_THRESHOLD: u64 = 1024;
 
 /// Stable label for a [`ChainStorage`] variant, used by `engine stats`

@@ -2621,6 +2621,60 @@ mod tests {
     }
 
     #[test]
+    fn host_exchange_hash_cost_is_constant_on_default_chains() {
+        // The default 1024-element chains resolve to √n storage. A host
+        // discloses an A1 pair from its acknowledgment chain on every S1;
+        // that must read the cached cursor segment, not recompute up to
+        // ⌈√n⌉ − 1 hashes per element from the checkpoint below.
+        let default_cfg = || EngineConfig::new(Config::new(Algorithm::Sha1));
+        assert_eq!(
+            default_cfg().protocol.chain_storage,
+            alpha_core::ChainStorage::Sqrt,
+            "default chains are expected in √n storage"
+        );
+        let client = EngineCore::new(default_cfg());
+        let server = EngineCore::new(default_cfg());
+        let ca = addr(1320);
+        let sa = addr(2320);
+        let mut rng = StdRng::seed_from_u64(64);
+        let now = Timestamp::from_millis(1);
+        let (key, out) = client.connect(sa, 64, now, &mut rng);
+        let _ = pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+
+        let exchanges = 64u64;
+        let mut host_hashes = 0u64;
+        for i in 0..exchanges {
+            let payload = format!("exchange {i}");
+            let s1 = client
+                .sign_batch(key, &[payload.as_bytes()], Mode::Base, now)
+                .expect("sign");
+            let scope = alpha_crypto::counting::Scope::start();
+            let mut a1 = EngineOutput::default();
+            for (_, bytes) in &s1.datagrams {
+                a1.absorb(server.handle_datagram(ca, bytes, now, &mut rng));
+            }
+            host_hashes += scope.finish().invocations;
+            let mut s2 = EngineOutput::default();
+            for (_, bytes) in &a1.datagrams {
+                s2.absorb(client.handle_datagram(sa, bytes, now, &mut rng));
+            }
+            let scope = alpha_crypto::counting::Scope::start();
+            let mut delivered = EngineOutput::default();
+            for (_, bytes) in &s2.datagrams {
+                delivered.absorb(server.handle_datagram(ca, bytes, now, &mut rng));
+            }
+            host_hashes += scope.finish().invocations;
+            assert_eq!(delivered.delivered.len(), 1, "exchange {i} delivered");
+            assert_eq!(delivered.delivered[0].2, payload.as_bytes());
+        }
+        let per_exchange = host_hashes as f64 / exchanges as f64;
+        assert!(
+            per_exchange <= 8.0,
+            "host hashes per S1→S2 exchange: {per_exchange:.2} (total {host_hashes})"
+        );
+    }
+
+    #[test]
     fn relay_flow_verifies_and_forwards() {
         let client = EngineCore::new(cfg());
         let server = EngineCore::new(cfg());

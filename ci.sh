@@ -25,8 +25,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> datapath bench smoke (release, --quick)"
 cargo run --release -p alpha-bench --bin datapath -- --quick
 
-echo "==> digest backend equivalence (forced scalar, then auto-detected)"
+echo "==> digest backend equivalence (forced scalar, forced lanes4, then auto-detected)"
 ALPHA_DIGEST_BACKEND=scalar cargo test -q -p alpha-crypto --test backend_props
+ALPHA_DIGEST_BACKEND=lanes4 cargo test -q -p alpha-crypto --test backend_props
 cargo test -q -p alpha-crypto --test backend_props
 
 echo "==> digest throughput bench smoke (release, --quick)"

@@ -1,17 +1,21 @@
 //! Digest backend throughput — what the pluggable backend layer in
 //! `alpha-crypto` buys at each tier.
 //!
-//! Three measurements, each across every backend the host CPU supports
-//! (scalar always, portable 4-lane always, SHA-NI when detected):
+//! Four measurements, the first three across every backend the host CPU
+//! supports (scalar always, portable 4-lane always, SHA-NI when detected):
 //!
-//! 1. **Single-message latency**: one digest at a time, the floor any
-//!    non-batched call site pays.
+//! 1. **Single-message latency**: one digest at a time through the lane
+//!    path (`digest_batch_using` with one lane), the compression floor.
 //! 2. **Batched throughput**: `digest_batch` over many independent
 //!    messages — the shape of HMAC pre-signature generation, Merkle
 //!    level builds, and relay batch verification.
 //! 3. **End-to-end relay S2/sec**: the engine-scaling harness in
 //!    miniature, with bundled ALPHA-C exchanges flowing through one
 //!    relay `EngineCore`, re-run with the backend forced to each tier.
+//! 4. **API single-call latency** on the active backend: `Algorithm::hash`
+//!    of a 22 B chain step and a 64 B message, and `hmac::mac` of 64 B
+//!    under a digest-sized key — what the protocol pays per call, next to
+//!    the floor of (1).
 //!
 //! Output: tables on stdout and `BENCH_digest.json`. `--quick` shrinks
 //! everything into a ci.sh smoke gate (no throughput assertions, since
@@ -25,7 +29,7 @@ use alpha_bench::table;
 use alpha_core::bootstrap::{self, AuthRequirement};
 use alpha_core::{Config, Mode, Timestamp};
 use alpha_crypto::backend::{self, BackendKind};
-use alpha_crypto::{Algorithm, Digest};
+use alpha_crypto::{hmac, Algorithm, Digest};
 use alpha_engine::{EngineConfig, EngineCore};
 use alpha_wire::bundle;
 use rand::rngs::StdRng;
@@ -45,6 +49,35 @@ fn single_ns(kind: BackendKind, alg: Algorithm, len: usize, iters: usize) -> f64
         backend::digest_batch_using(kind, alg, &refs, &mut out);
     }
     t.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Nanoseconds per call of the public single-message API: `(name,
+/// msg_bytes)` rows for `Algorithm::hash` and `hmac::mac`.
+fn api_ns(alg: Algorithm, iters: usize) -> Vec<(&'static str, usize, f64)> {
+    let key = alg.hash(b"api key");
+    let time = |f: &dyn Fn() -> Digest| {
+        std::hint::black_box(f()); // warm up
+        let t = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+        t.elapsed().as_nanos() as f64 / iters as f64
+    };
+    let chain_step = [0x5Au8; 22]; // role tag | SHA-1 element
+    let msg = [0xA5u8; 64];
+    vec![
+        (
+            "hash",
+            22,
+            time(&|| alg.hash(std::hint::black_box(&chain_step))),
+        ),
+        ("hash", 64, time(&|| alg.hash(std::hint::black_box(&msg)))),
+        (
+            "mac",
+            64,
+            time(&|| hmac::mac(alg, key.as_bytes(), std::hint::black_box(&msg))),
+        ),
+    ]
 }
 
 /// MB/s hashing `n` independent messages per batch call.
@@ -218,6 +251,32 @@ fn main() {
         }
     );
 
+    // 4: the public single-call API on the active backend, measured before
+    // (3) forces each tier in turn.
+    let api_backend = backend::active();
+    let mut api: Vec<(Algorithm, &str, usize, f64)> = Vec::new();
+    for &alg in &ALGS {
+        for (name, len, ns) in api_ns(alg, single_iters) {
+            api.push((alg, name, len, ns));
+        }
+    }
+    let api_rows: Vec<Vec<String>> = api
+        .iter()
+        .map(|(alg, name, len, ns)| {
+            vec![
+                alg.to_string(),
+                (*name).to_owned(),
+                len.to_string(),
+                format!("{ns:.0}"),
+            ]
+        })
+        .collect();
+    table::print(
+        &format!("Single-call API latency (active backend: {api_backend})"),
+        &["alg", "call", "msg B", "ns"],
+        &api_rows,
+    );
+
     // 3: end-to-end relay verification, backend forced per run.
     let (flows, exchanges, bundle_msgs) = if quick { (8, 2, 4) } else { (64, 4, 8) };
     let cfg = Config::new(Algorithm::Sha256).with_chain_len(64);
@@ -270,6 +329,17 @@ fn main() {
              \"ns_per_digest\": {ns:.1}}}{}",
             kind.name(),
             if i + 1 == single.len() { "" } else { "," }
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"api_single_ns\": [");
+    for (i, (alg, name, len, ns)) in api.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"backend\": \"{}\", \"alg\": \"{alg}\", \"call\": \"{name}\", \
+             \"msg_bytes\": {len}, \"ns_per_call\": {ns:.1}}}{}",
+            api_backend.name(),
+            if i + 1 == api.len() { "" } else { "," }
         );
     }
     let _ = writeln!(json, "  ],");

@@ -4,7 +4,9 @@
 //! paper), so this module lets the crate pick the fastest implementation the
 //! host CPU offers — once, at startup — and exposes *batch* entry points for
 //! the call sites that hash many independent short inputs (HMAC
-//! pre-signatures, Merkle levels, chain walks, relay S2 verification).
+//! pre-signatures, Merkle levels, chain walks, relay S2 verification). The
+//! single-message entry points (`Algorithm::hash`/`hash_parts`, `hmac::mac`)
+//! run the same block path one message at a time.
 //!
 //! Three tiers exist:
 //!
@@ -214,6 +216,20 @@ pub(crate) fn sha1_compress(state: &mut [u32; 5], blocks: &[u8]) {
 /// backend.
 pub(crate) fn sha256_compress(state: &mut [u32; 8], blocks: &[u8]) {
     sha256_compress_with(active(), state, blocks);
+}
+
+/// The final one or two padded 64-byte blocks of a Merkle–Damgård
+/// message: the `buffered` tail (< 64 bytes), `0x80`, zeros, and the
+/// 64-bit big-endian bit length of the `total_len`-byte message. Returns
+/// the block storage and how many of its bytes (64 or 128) to compress.
+pub(crate) fn md_tail(buffered: &[u8], total_len: u64) -> ([u8; 128], usize) {
+    debug_assert!(buffered.len() < 64);
+    let mut tail = [0u8; 128];
+    tail[..buffered.len()].copy_from_slice(buffered);
+    tail[buffered.len()] = 0x80;
+    let n = if buffered.len() < 56 { 64 } else { 128 };
+    tail[n - 8..n].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    (tail, n)
 }
 
 pub(crate) fn sha1_compress_with(kind: BackendKind, state: &mut [u32; 5], blocks: &[u8]) {
@@ -437,6 +453,17 @@ pub(crate) fn hash_lanes_with(
         *slot = hash_one_with(kind, alg, job);
         counting::record(alg, job.total_len());
     }
+}
+
+/// One-shot SHA-1/SHA-256 of the concatenation of up to [`MAX_PARTS`]
+/// `parts` with the active backend: only the message's compressions, no
+/// streaming context. Records the same single invocation, with the same
+/// input length, that [`crate::Hasher::finish`] records.
+pub(crate) fn hash_one(alg: Algorithm, parts: &[&[u8]]) -> Digest {
+    let job = PartsRef::new(parts);
+    let digest = hash_one_with(active(), alg, &job);
+    counting::record(alg, job.total_len());
+    digest
 }
 
 /// Single-message hash honoring an explicit backend (no counting).

@@ -26,6 +26,7 @@
 //! the MAC and is disclosed in the S2 packet. Acknowledgment chains use the
 //! same structure with their own tag pair (A1/A2).
 
+use crate::backend::{PartsRef, LANES};
 use crate::{Algorithm, Digest};
 use rand::RngCore;
 
@@ -280,15 +281,18 @@ impl HashChain {
             .collect();
         let mut next = vec![Digest::zero(alg); n];
         for i in 1..=len {
-            let jobs: Vec<crate::backend::PartsRef<'_>> = specs
-                .iter()
-                .zip(cur.iter())
-                .map(|((kind, _), prev)| match kind.tag(i) {
-                    Some(tag) => crate::backend::PartsRef::new(&[tag, prev.as_bytes()]),
-                    None => crate::backend::PartsRef::one(prev.as_bytes()),
-                })
-                .collect();
-            crate::backend::hash_parts_lanes(alg, &jobs, &mut next);
+            for start in (0..n).step_by(LANES) {
+                let take = (n - start).min(LANES);
+                let mut jobs = [PartsRef::new(&[]); LANES];
+                for (j, job) in jobs[..take].iter_mut().enumerate() {
+                    *job = step_job(specs[start + j].0, i, &cur[start + j]);
+                }
+                crate::backend::hash_parts_lanes(
+                    alg,
+                    &jobs[..take],
+                    &mut next[start..start + take],
+                );
+            }
             for (v, d) in elements.iter_mut().zip(next.iter()) {
                 v.push(*d);
             }
@@ -816,7 +820,7 @@ impl FrozenChain {
         }
         let (alg, len) = (a.alg, a.len);
         let kinds = [a.kind, b.kind];
-        let mut cur = vec![a.seed_hash, b.seed_hash];
+        let mut cur = [a.seed_hash, b.seed_hash];
         let mut elements: Vec<Vec<Digest>> = cur
             .iter()
             .map(|h0| {
@@ -825,16 +829,12 @@ impl FrozenChain {
                 v
             })
             .collect();
-        let mut next = vec![Digest::zero(alg); 2];
+        let mut next = [Digest::zero(alg); 2];
         for i in 1..=len {
-            let jobs: Vec<crate::backend::PartsRef<'_>> = kinds
-                .iter()
-                .zip(cur.iter())
-                .map(|(kind, prev)| match kind.tag(i) {
-                    Some(tag) => crate::backend::PartsRef::new(&[tag, prev.as_bytes()]),
-                    None => crate::backend::PartsRef::one(prev.as_bytes()),
-                })
-                .collect();
+            let jobs = [
+                step_job(kinds[0], i, &cur[0]),
+                step_job(kinds[1], i, &cur[1]),
+            ];
             crate::backend::hash_parts_lanes(alg, &jobs, &mut next);
             elements[0].push(next[0]);
             elements[1].push(next[1]);
@@ -854,6 +854,15 @@ impl FrozenChain {
         ca.next = a.next;
         cb.next = b.next;
         (ca, cb)
+    }
+}
+
+/// The message hashed by [`derive`] for step `index`, as a lane job for
+/// the lockstep builders.
+fn step_job(kind: ChainKind, index: u64, prev: &Digest) -> PartsRef<'_> {
+    match kind.tag(index) {
+        Some(tag) => PartsRef::new(&[tag, prev.as_bytes()]),
+        None => PartsRef::one(prev.as_bytes()),
     }
 }
 

@@ -18,7 +18,7 @@ use crate::Algorithm;
 /// Snapshot of hash activity on the current thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Counts {
-    /// Total hash invocations (one per `Hasher::finish`).
+    /// Total hash invocations (one per `Hasher::finish` or one-shot hash).
     pub invocations: u64,
     /// Total input bytes fed across those invocations.
     pub input_bytes: u64,
@@ -68,7 +68,8 @@ thread_local! {
     }) };
 }
 
-/// Record one finished hash invocation. Called by `Hasher::finish`.
+/// Record one finished hash invocation. Called by `Hasher::finish` and the
+/// one-shot and lane paths in [`crate::backend`].
 pub(crate) fn record(alg: Algorithm, input_len: usize) {
     COUNTS.with(|c| {
         let mut c = c.borrow_mut();

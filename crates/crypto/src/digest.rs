@@ -51,16 +51,22 @@ impl Algorithm {
     /// Hash `data` in one shot.
     #[must_use]
     pub fn hash(self, data: &[u8]) -> Digest {
-        let mut h = Hasher::new(self);
-        h.update(data);
-        h.finish()
+        self.hash_parts(&[data])
     }
 
     /// Hash the concatenation of several byte strings without building an
     /// intermediate buffer. Chains, trees and MAC constructions are all
     /// hashes over short concatenations, so this is the workhorse.
+    ///
+    /// SHA-1/SHA-256 inputs of up to four parts take the one-shot block
+    /// path of [`crate::backend`], which pays only the message's
+    /// compressions; MMO and longer part lists run a streaming
+    /// [`Hasher`]. Both produce the same digest and the same counts.
     #[must_use]
     pub fn hash_parts(self, parts: &[&[u8]]) -> Digest {
+        if self != Algorithm::MmoAes && parts.len() <= crate::backend::MAX_PARTS {
+            return crate::backend::hash_one(self, parts);
+        }
         let mut h = Hasher::new(self);
         for p in parts {
             h.update(p);

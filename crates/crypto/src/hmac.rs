@@ -11,16 +11,20 @@
 //! always one digest (20 B for SHA-1, 16 B for MMO), i.e. shorter than the
 //! block.
 
+use crate::backend::{self, MAX_PARTS};
 use crate::{counting, Algorithm, Digest, Hasher};
 
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
+/// Largest HMAC block this crate uses (SHA-1/SHA-256).
+const MAX_BLOCK: usize = 64;
+
 /// Streaming HMAC context.
 pub struct HmacContext {
     alg: Algorithm,
     inner: Hasher,
-    opad_key: Vec<u8>,
+    opad_key: [u8; MAX_BLOCK],
 }
 
 impl HmacContext {
@@ -28,17 +32,21 @@ impl HmacContext {
     #[must_use]
     pub fn new(alg: Algorithm, key: &[u8]) -> HmacContext {
         let block = alg.block_len();
-        let mut k = vec![0u8; block];
+        let mut k = [0u8; MAX_BLOCK];
         if key.len() > block {
             let kd = alg.hash(key);
             k[..kd.len()].copy_from_slice(kd.as_bytes());
         } else {
             k[..key.len()].copy_from_slice(key);
         }
+        let mut ipad_key = [0u8; MAX_BLOCK];
+        let mut opad_key = [0u8; MAX_BLOCK];
+        for i in 0..block {
+            ipad_key[i] = k[i] ^ IPAD;
+            opad_key[i] = k[i] ^ OPAD;
+        }
         let mut inner = Hasher::new(alg);
-        let ipad_key: Vec<u8> = k.iter().map(|b| b ^ IPAD).collect();
-        inner.update(&ipad_key);
-        let opad_key: Vec<u8> = k.iter().map(|b| b ^ OPAD).collect();
+        inner.update(&ipad_key[..block]);
         HmacContext {
             alg,
             inner,
@@ -56,7 +64,7 @@ impl HmacContext {
     pub fn finish(self) -> Digest {
         let inner_digest = self.inner.finish();
         let mut outer = Hasher::new(self.alg);
-        outer.update(&self.opad_key);
+        outer.update(&self.opad_key[..self.alg.block_len()]);
         outer.update(inner_digest.as_bytes());
         counting::record_mac(2);
         outer.finish()
@@ -66,14 +74,23 @@ impl HmacContext {
 /// One-shot HMAC tag over `msg` with `key`.
 #[must_use]
 pub fn mac(alg: Algorithm, key: &[u8], msg: &[u8]) -> Digest {
-    let mut ctx = HmacContext::new(alg, key);
-    ctx.update(msg);
-    ctx.finish()
+    mac_parts(alg, key, &[msg])
 }
 
 /// One-shot HMAC over the concatenation of `parts`.
+///
+/// SHA-1/SHA-256 with a key of at most one block and up to three parts
+/// (every MAC ALPHA computes) runs as a one-lane
+/// [`backend::mac_parts_batch`]: two one-shot passes over stack-built pad
+/// blocks. Anything else runs the streaming [`HmacContext`]. Digests and
+/// counts are the same either way.
 #[must_use]
 pub fn mac_parts(alg: Algorithm, key: &[u8], parts: &[&[u8]]) -> Digest {
+    if alg != Algorithm::MmoAes && key.len() <= alg.block_len() && parts.len() < MAX_PARTS {
+        let mut out = [Digest::zero(alg)];
+        backend::mac_parts_batch(alg, &[key], &[parts], &mut out);
+        return out[0];
+    }
     let mut ctx = HmacContext::new(alg, key);
     for p in parts {
         ctx.update(p);
@@ -99,12 +116,17 @@ pub fn verify(alg: Algorithm, key: &[u8], msg: &[u8], tag: &Digest) -> bool {
 /// HMAC; select per deployment via the protocol configuration.
 #[must_use]
 pub fn prefix_mac(alg: Algorithm, key: &[u8], parts: &[&[u8]]) -> Digest {
+    counting::record_mac(1);
+    if parts.len() < MAX_PARTS {
+        let mut all: [&[u8]; MAX_PARTS] = [key; MAX_PARTS];
+        all[1..=parts.len()].copy_from_slice(parts);
+        return alg.hash_parts(&all[..=parts.len()]);
+    }
     let mut h = crate::Hasher::new(alg);
     h.update(key);
     for p in parts {
         h.update(p);
     }
-    counting::record_mac(1);
     h.finish()
 }
 

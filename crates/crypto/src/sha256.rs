@@ -80,13 +80,8 @@ impl Sha256 {
     /// Finalize: append padding and the 64-bit length, emit 32 bytes.
     #[must_use]
     pub fn finish(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0u8]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        let (tail, n) = crate::backend::md_tail(&self.buf[..self.buf_len], self.total_len);
+        crate::backend::sha256_compress(&mut self.state, &tail[..n]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());

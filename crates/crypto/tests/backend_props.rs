@@ -6,11 +6,17 @@
 //! DESIGN.md §10): the intrinsics are only trusted because these sweeps
 //! pin them to the scalar implementation across lane counts (1..9,
 //! covering partial final sweeps), input lengths (0..3 blocks), and the
-//! MD-padding block boundaries (55/56/63/64/65 bytes). ci.sh runs the
-//! suite once with `ALPHA_DIGEST_BACKEND=scalar` and once auto-detected.
+//! MD-padding block boundaries (55/56/63/64/65 bytes).
+//!
+//! `Algorithm::hash`, `hmac::mac` and the batch APIs share one block path
+//! (`PartsRef` padding), so the reference here is always the *streaming*
+//! `Hasher` / `HmacContext` fed in small chunks: a second, independent
+//! padding implementation. ci.sh runs the suite with
+//! `ALPHA_DIGEST_BACKEND=scalar`, `=lanes4`, and auto-detected.
 
 use alpha_crypto::backend;
-use alpha_crypto::{hmac, Algorithm, Digest};
+use alpha_crypto::hmac::HmacContext;
+use alpha_crypto::{counting, hmac, Algorithm, Digest, Hasher};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -27,7 +33,31 @@ fn rand_msg(rng: &mut StdRng, len: usize) -> Vec<u8> {
     m
 }
 
-/// `digest_batch_using` vs the scalar one-shot hash, for every supported
+/// Streaming reference digest of the concatenation of `parts`, fed
+/// `chunk` bytes at a time.
+fn stream_hash(alg: Algorithm, parts: &[&[u8]], chunk: usize) -> Digest {
+    let mut h = Hasher::new(alg);
+    for part in parts {
+        for piece in part.chunks(chunk) {
+            h.update(piece);
+        }
+    }
+    h.finish()
+}
+
+/// Streaming reference HMAC of the concatenation of `parts`, fed 7 bytes
+/// at a time.
+fn stream_mac(alg: Algorithm, key: &[u8], parts: &[&[u8]]) -> Digest {
+    let mut ctx = HmacContext::new(alg, key);
+    for part in parts {
+        for piece in part.chunks(7) {
+            ctx.update(piece);
+        }
+    }
+    ctx.finish()
+}
+
+/// `digest_batch_using` vs the streaming reference, for every supported
 /// backend, every algorithm, every edge length, lane counts 1..9.
 #[test]
 fn batched_digests_match_scalar_at_block_edges() {
@@ -43,7 +73,7 @@ fn batched_digests_match_scalar_at_block_edges() {
                     for (msg, got) in msgs.iter().zip(&out) {
                         assert_eq!(
                             *got,
-                            alg.hash(msg),
+                            stream_hash(alg, &[msg], 7),
                             "{kind:?} {alg} len={len} lanes={lanes}"
                         );
                     }
@@ -71,14 +101,19 @@ fn batched_digests_match_scalar_random_shapes() {
                 let mut out = vec![Digest::zero(alg); lanes];
                 backend::digest_batch_using(kind, alg, &refs, &mut out);
                 for (msg, got) in msgs.iter().zip(&out) {
-                    assert_eq!(*got, alg.hash(msg), "{kind:?} {alg} len={}", msg.len());
+                    assert_eq!(
+                        *got,
+                        stream_hash(alg, &[msg], 7),
+                        "{kind:?} {alg} len={}",
+                        msg.len()
+                    );
                 }
             }
         }
     }
 }
 
-/// `mac_parts_batch_using` vs scalar `hmac::mac_parts`, all backends,
+/// `mac_parts_batch_using` vs the streaming `HmacContext`, all backends,
 /// chain-element-sized keys, 1..=3 message parts, edge + random lengths.
 #[test]
 fn batched_hmacs_match_scalar() {
@@ -115,7 +150,7 @@ fn batched_hmacs_match_scalar() {
                 for i in 0..lanes {
                     assert_eq!(
                         out[i],
-                        hmac::mac_parts(alg, &keys[i], &part_refs[i]),
+                        stream_mac(alg, &keys[i], &part_refs[i]),
                         "{kind:?} {alg} lane {i}"
                     );
                 }
@@ -124,8 +159,8 @@ fn batched_hmacs_match_scalar() {
     }
 }
 
-/// The convenience wrappers over the *active* backend agree with scalar
-/// too (whatever `ALPHA_DIGEST_BACKEND` resolves to in this run).
+/// The convenience wrappers over the *active* backend agree with the
+/// streaming reference too (whatever `ALPHA_DIGEST_BACKEND` resolves to in this run).
 #[test]
 fn active_backend_wrappers_match_scalar() {
     let mut rng = StdRng::seed_from_u64(0xac71);
@@ -135,7 +170,7 @@ fn active_backend_wrappers_match_scalar() {
         let mut out = vec![Digest::zero(alg); msgs.len()];
         backend::digest_batch(alg, &refs, &mut out);
         for (msg, got) in msgs.iter().zip(&out) {
-            assert_eq!(*got, alg.hash(msg), "{alg} len={}", msg.len());
+            assert_eq!(*got, stream_hash(alg, &[msg], 7), "{alg} len={}", msg.len());
         }
 
         let keys: Vec<Vec<u8>> = msgs
@@ -146,7 +181,11 @@ fn active_backend_wrappers_match_scalar() {
         let mut macs = vec![Digest::zero(alg); msgs.len()];
         backend::mac_batch(alg, &key_refs, &refs, &mut macs);
         for i in 0..msgs.len() {
-            assert_eq!(macs[i], hmac::mac(alg, &keys[i], &msgs[i]), "{alg} mac {i}");
+            assert_eq!(
+                macs[i],
+                stream_mac(alg, &keys[i], &[&msgs[i]]),
+                "{alg} mac {i}"
+            );
         }
     }
 }
@@ -166,8 +205,96 @@ fn long_key_hmac_fallback_matches_scalar() {
             let mut out = vec![Digest::zero(alg); 4];
             backend::mac_parts_batch_using(kind, alg, &key_refs, &msg_refs, &mut out);
             for i in 0..4 {
-                assert_eq!(out[i], hmac::mac(alg, &keys[i], &msgs[i]), "{kind:?} {alg}");
+                assert_eq!(
+                    out[i],
+                    stream_mac(alg, &keys[i], &[&msgs[i]]),
+                    "{kind:?} {alg}"
+                );
             }
+        }
+    }
+}
+
+/// Every way to split `msg` into 2, 3 and 4 parts with one cut at `at`
+/// (the other cuts halve the remaining spans).
+fn splits(msg: &[u8], at: usize) -> [Vec<&[u8]>; 3] {
+    let (head, tail) = msg.split_at(at);
+    let (h0, h1) = head.split_at(at / 2);
+    let (t0, t1) = tail.split_at(tail.len() / 2);
+    [vec![head, tail], vec![head, t0, t1], vec![h0, h1, t0, t1]]
+}
+
+/// The one-shot `Algorithm::hash_parts` (active backend) equals the
+/// streaming `Hasher` fed 1-byte and 7-byte chunks, for every length
+/// 0..=200 (all padding edges: 55/56/63/64/65, 119/120, 127/128) and
+/// every cut position, plus the 5-part streaming fallback.
+#[test]
+fn one_shot_hash_parts_matches_chunked_streaming() {
+    let mut rng = StdRng::seed_from_u64(0x0de5);
+    for alg in ALGS {
+        for len in 0..=200usize {
+            let msg = rand_msg(&mut rng, len);
+            let by_byte = stream_hash(alg, &[&msg], 1);
+            assert_eq!(stream_hash(alg, &[&msg], 7), by_byte, "{alg} len={len}");
+            assert_eq!(alg.hash(&msg), by_byte, "{alg} len={len}");
+            for at in 0..=len {
+                for parts in splits(&msg, at) {
+                    assert_eq!(
+                        alg.hash_parts(&parts),
+                        by_byte,
+                        "{alg} len={len} cut={at} parts={}",
+                        parts.len()
+                    );
+                }
+            }
+            // More parts than the one-shot path takes: streaming fallback.
+            let (head, tail) = msg.split_at(len / 2);
+            let five: [&[u8]; 5] = [&[], head, &[], tail, &[]];
+            assert_eq!(alg.hash_parts(&five), by_byte, "{alg} len={len} five-part");
+        }
+    }
+}
+
+/// The one-shot entry points leave exactly the counts their streaming
+/// twins leave, field for field: Table 1 and the end-to-end benchmark's
+/// `crypto.*` counters read these.
+#[test]
+fn one_shot_counts_match_streaming_twins() {
+    fn counts_of(f: impl FnOnce() -> Digest) -> counting::Counts {
+        let scope = counting::Scope::start();
+        let _ = f();
+        scope.finish()
+    }
+    let mut rng = StdRng::seed_from_u64(0xc0c0);
+    for alg in ALGS {
+        for len in [0usize, 22, 55, 64, 65, 200, 1100] {
+            let msg = rand_msg(&mut rng, len);
+            let key = rand_msg(&mut rng, alg.digest_len());
+            let (a, b) = msg.split_at(len / 3);
+            let (b, c) = b.split_at(b.len() / 2);
+            let what = format!("{alg} len={len}");
+
+            let streamed = counts_of(|| stream_hash(alg, &[&msg], 7));
+            assert_eq!(counts_of(|| alg.hash(&msg)), streamed, "hash {what}");
+            let one_shot = counts_of(|| alg.hash_parts(&[a, b, c]));
+            assert_eq!(one_shot, streamed, "hash_parts {what}");
+
+            let streamed = counts_of(|| stream_mac(alg, &key, &[&msg]));
+            let one_shot = counts_of(|| hmac::mac(alg, &key, &msg));
+            assert_eq!(one_shot, streamed, "mac {what}");
+            let one_shot = counts_of(|| hmac::mac_parts(alg, &key, &[a, b, c]));
+            assert_eq!(one_shot, streamed, "mac_parts {what}");
+
+            // Four message parts take prefix_mac's streaming fallback.
+            let (c0, c1) = c.split_at(c.len() / 2);
+            let streamed = counts_of(|| hmac::prefix_mac(alg, &key, &[a, b, c0, c1]));
+            let one_shot = counts_of(|| hmac::prefix_mac(alg, &key, &[a, b, c]));
+            assert_eq!(one_shot, streamed, "prefix_mac {what}");
+            assert_eq!(
+                hmac::prefix_mac(alg, &key, &[a, b, c]),
+                stream_hash(alg, &[&key, &msg], 7),
+                "prefix_mac digest {what}"
+            );
         }
     }
 }

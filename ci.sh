@@ -16,6 +16,12 @@ echo "==> whole workspace test (serialized)"
 cargo test -q --workspace --exclude criterion --exclude crossbeam --exclude parking_lot \
     --exclude proptest --exclude rand --exclude serde --exclude serde_json -- --test-threads=1
 
+# The live benchmark (e2ebench/) is a package of its own, outside the
+# workspace; its self-tests gate the correctness oracle every benchmark
+# run relies on.
+echo "==> benchmark self-tests (e2ebench, release)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> fmt check (workspace)"
 cargo fmt --all --check
 

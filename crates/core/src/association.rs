@@ -5,7 +5,7 @@
 //! `{h^As_n, h^Aa_n, h^Bs_n, h^Ba_n}` of §3.1 are exactly the four chains
 //! these two pairs of machines hold between two hosts.
 
-use alpha_crypto::chain::{FrozenChain, HashChain};
+use alpha_crypto::chain::HashChain;
 use alpha_crypto::Digest;
 use alpha_wire::{Body, Packet};
 use rand::RngCore;
@@ -318,16 +318,15 @@ impl Association {
     #[must_use]
     pub fn thaw(cfg: Config, frozen: &crate::freeze::FrozenAssociation) -> Association {
         debug_assert_eq!(cfg.algorithm, frozen.alg);
-        // Both own chains rebuild in one two-lane pass — chain
-        // re-derivation dominates the wake latency of a hibernated
-        // flow, and the lanes roughly halve it.
-        let (sig_chain, ack_chain) =
-            FrozenChain::thaw_pair(&frozen.signer.chain, &frozen.verifier.ack_chain);
+        // Each own chain thaws dormant and is rebuilt only when it first
+        // discloses: a receive-only host never rebuilds its signature
+        // chain, and a forged packet fails the peer-chain check before
+        // either chain is touched.
         Association {
             assoc_id: frozen.assoc_id,
             cfg,
-            signer: SignerChannel::thaw(frozen.assoc_id, cfg, &frozen.signer, sig_chain),
-            verifier: VerifierChannel::thaw(frozen.assoc_id, cfg, &frozen.verifier, ack_chain),
+            signer: SignerChannel::thaw(frozen.assoc_id, cfg, &frozen.signer),
+            verifier: VerifierChannel::thaw(frozen.assoc_id, cfg, &frozen.verifier),
         }
     }
 }

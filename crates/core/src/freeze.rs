@@ -5,8 +5,12 @@
 //! element vectors, no pebbles), the peer-chain verifier positions, and —
 //! when the flow slept mid-bundle — the verifier's buffered exchange(s)
 //! including pre-signatures and undisclosed acknowledgment secrets. Thawing
-//! rebuilds the full channel state machines; every subsequent packet takes
-//! exactly the decisions a never-frozen association would have taken.
+//! rebuilds the channel state machines without hashing: each own chain
+//! comes back dormant and is re-derived from its seed hash only when it
+//! first discloses, so a wake pays for the chains the flow actually uses
+//! and a forged packet, rejected by the peer-chain check, pays for none.
+//! Every subsequent packet takes exactly the decisions a never-frozen
+//! association would have taken.
 //!
 //! The signer side must be idle (no exchange outstanding) to freeze: an
 //! in-flight S1/S2 burst holds message payloads and Merkle trees whose
@@ -15,7 +19,8 @@
 //! a silent sender must not pin its receiver's full state in memory.
 //!
 //! Records serialize to a private, versioned byte layout via
-//! [`FrozenAssociation::encode`]; [`FrozenAssociation::decode`] is total
+//! [`FrozenAssociation::encode`] (or [`FrozenAssociation::encode_into`],
+//! appending to a caller's buffer); [`FrozenAssociation::decode`] is total
 //! (returns `None` on any malformed input) so a corrupt record can never
 //! panic the engine.
 
@@ -116,7 +121,15 @@ impl FrozenAssociation {
     /// Serialize to the compact record held by the hibernation store.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the record [`FrozenAssociation::encode`] returns to `buf`,
+    /// so a caller framing it inside a larger record writes one buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let mut w = Writer { buf };
         w.u8(VERSION);
         w.u8(alg_code(self.alg));
         w.u64(self.assoc_id);
@@ -130,7 +143,6 @@ impl FrozenAssociation {
         w.u8(u8::from(self.verifier.accepting));
         encode_opt_exchange(&mut w, self.verifier.current.as_ref());
         encode_opt_exchange(&mut w, self.verifier.previous.as_ref());
-        w.buf
     }
 
     /// Parse a record produced by [`FrozenAssociation::encode`]. Returns
@@ -213,7 +225,7 @@ fn storage_from_code(code: u8) -> Option<StorageKind> {
     }
 }
 
-fn encode_chain(w: &mut Writer, c: &FrozenChain) {
+fn encode_chain(w: &mut Writer<'_>, c: &FrozenChain) {
     w.u8(storage_code(c.storage));
     w.u64(c.len);
     w.u64(c.next);
@@ -224,8 +236,9 @@ fn decode_chain(r: &mut Reader<'_>, alg: Algorithm, kind: ChainKind) -> Option<F
     let storage = storage_from_code(r.u8()?)?;
     let len = r.u64()?;
     let next = r.u64()?;
-    // A hostile record must not drive the O(len) thaw loop arbitrarily
-    // far: cap at the longest chain the engine ever builds.
+    // A hostile record must not drive the O(len) rebuild on the thawed
+    // chain's first disclosure arbitrarily far: cap at the longest chain
+    // the engine ever builds.
     if len < 2 || len % 2 != 0 || len > 1 << 24 || next >= len {
         return None;
     }
@@ -240,7 +253,7 @@ fn decode_chain(r: &mut Reader<'_>, alg: Algorithm, kind: ChainKind) -> Option<F
     })
 }
 
-fn encode_opt_exchange(w: &mut Writer, ex: Option<&FrozenExchange>) {
+fn encode_opt_exchange(w: &mut Writer<'_>, ex: Option<&FrozenExchange>) {
     let Some(ex) = ex else {
         w.u8(0);
         return;
@@ -430,12 +443,11 @@ fn decode_opt_exchange(r: &mut Reader<'_>, alg: Algorithm) -> Option<Option<Froz
     }))
 }
 
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
+impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }

@@ -526,20 +526,19 @@ impl SignerChannel {
         })
     }
 
-    /// Rebuild a channel from its frozen record. `chain` is the
-    /// already-rehydrated signature chain — the association thaws both
-    /// of its chains in one lane-parallel pass before standing the
-    /// channels up.
+    /// Rebuild a channel from its frozen record. The signature chain
+    /// thaws dormant: it is re-derived from its seed hash on the first
+    /// S1 this channel signs, so a channel that only receives never pays
+    /// for it.
     pub(crate) fn thaw(
         assoc_id: u64,
         cfg: Config,
         frozen: &crate::freeze::FrozenSigner,
-        chain: HashChain,
     ) -> SignerChannel {
         let mut ch = SignerChannel::new(
             assoc_id,
             cfg,
-            chain,
+            frozen.chain.thaw(),
             frozen.peer_ack_last,
             frozen.peer_ack_index,
         );

@@ -588,20 +588,19 @@ impl VerifierChannel {
         }
     }
 
-    /// Rebuild a channel from its frozen record. `ack_chain` is the
-    /// already-rehydrated acknowledgment chain — the association thaws
-    /// both of its chains in one lane-parallel pass before standing the
-    /// channels up.
+    /// Rebuild a channel from its frozen record. The acknowledgment
+    /// chain thaws dormant: it is re-derived from its seed hash on the
+    /// first A1 this channel discloses, after the packet that prompts it
+    /// has passed the peer-chain check.
     pub(crate) fn thaw(
         assoc_id: u64,
         cfg: Config,
         frozen: &crate::freeze::FrozenVerifier,
-        ack_chain: HashChain,
     ) -> VerifierChannel {
         let mut ch = VerifierChannel::new(
             assoc_id,
             cfg,
-            ack_chain,
+            frozen.ack_chain.thaw(),
             frozen.peer_sig_last,
             frozen.peer_sig_index,
         );

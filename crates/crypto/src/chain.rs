@@ -177,6 +177,16 @@ enum Storage {
         positions: Vec<u64>,
         len: u64,
     },
+    /// A thawed chain that has not disclosed yet: the frozen record's
+    /// seed hash and layout, nothing derived. The first
+    /// [`HashChain::disclose`] / [`HashChain::disclose_pair`] rebuilds
+    /// the `target` storage from `seed_hash` (`len` hashes); a chain
+    /// that is frozen again before then costs no hashing at all.
+    Dormant {
+        seed_hash: Digest,
+        len: u64,
+        target: StorageKind,
+    },
 }
 
 /// A generated hash chain owned by the signing (or acknowledging) side.
@@ -429,9 +439,37 @@ impl HashChain {
     fn total_len(&self) -> u64 {
         match &self.storage {
             Storage::Full(e) => e.len() as u64 - 1,
-            Storage::Compact { len, .. } => *len,
-            Storage::Dyadic { len, .. } => *len,
+            Storage::Compact { len, .. }
+            | Storage::Dyadic { len, .. }
+            | Storage::Dormant { len, .. } => *len,
         }
+    }
+
+    /// Rebuild a dormant chain's storage from its seed hash, exactly as
+    /// a thaw did before dormancy existed: dyadic pebbles are positioned
+    /// at the current cursor, so callers run this before moving it.
+    /// Out of line and cold so the live disclosure path stays as it was.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self) {
+        let Storage::Dormant {
+            seed_hash,
+            len,
+            target,
+        } = self.storage
+        else {
+            return;
+        };
+        let (alg, kind) = (self.alg, self.kind);
+        let live = match target {
+            StorageKind::Full => Self::full_from_h0(alg, kind, len, seed_hash),
+            StorageKind::Compact => Self::compact_from_h0(alg, kind, len, seed_hash),
+            // An exhausted chain parks its pebbles at the seed.
+            StorageKind::Dyadic => {
+                Self::dyadic_from_h0(alg, kind, len, self.next.min(len - 1), seed_hash)
+            }
+        };
+        self.storage = live.storage;
     }
 
     /// Dyadic storage only: restore the invariant `positions[j] ==
@@ -561,7 +599,9 @@ impl HashChain {
     /// chains recompute forward from the nearest checkpoint; dyadic chains
     /// from the nearest pebble at or below `index` (without moving the
     /// pebbles — sequential disclosure through [`HashChain::disclose`] is
-    /// what maintains the amortized O(log n) bound).
+    /// what maintains the amortized O(log n) bound); a thawed chain that
+    /// has not disclosed yet walks forward from the seed hash, leaving it
+    /// dormant.
     ///
     /// Returns [`ChainError::IndexOutOfRange`] when `index` exceeds
     /// [`HashChain::len`] — the checked twin of [`HashChain::element`].
@@ -599,6 +639,13 @@ impl HashChain {
                 }
                 cur
             }
+            Storage::Dormant { seed_hash, .. } => {
+                let mut cur = *seed_hash;
+                for i in 1..=index {
+                    cur = derive(self.alg, self.kind, i, &cur);
+                }
+                cur
+            }
         })
     }
 
@@ -615,10 +662,11 @@ impl HashChain {
 
     /// Like [`HashChain::element`], but allowed to advance internal
     /// pebbles (dyadic storage) or refill the cursor segment (compact
-    /// storage) to keep sequential access cheap.
+    /// storage) to keep sequential access cheap. The disclosure methods
+    /// materialize a dormant chain before they get here.
     fn element_mut_path(&mut self, index: u64) -> Digest {
         match self.storage {
-            Storage::Full(_) => self.element(index),
+            Storage::Full(_) | Storage::Dormant { .. } => self.element(index),
             Storage::Compact { .. } => self.compact_element(index),
             Storage::Dyadic { .. } => self.dyadic_element(index),
         }
@@ -651,6 +699,9 @@ impl HashChain {
         if self.next == 0 {
             return Err(ChainError::Exhausted);
         }
+        if matches!(self.storage, Storage::Dormant { .. }) {
+            self.materialize();
+        }
         let idx = self.next;
         self.next -= 1;
         Ok((idx, self.element_mut_path(idx)))
@@ -664,6 +715,10 @@ impl HashChain {
     /// is skipped — verifiers catch up over gaps by hashing forward.
     #[allow(clippy::type_complexity)] // two labelled (index, element) pairs
     pub fn disclose_pair(&mut self) -> Result<((u64, Digest), (u64, Digest)), ChainError> {
+        if self.next > 0 && matches!(self.storage, Storage::Dormant { .. }) {
+            // Before the stray-element skip below moves the cursor.
+            self.materialize();
+        }
         if self.next.is_multiple_of(2) && self.next > 0 {
             // Skip the stale disclose-role element of an abandoned exchange.
             self.next -= 1;
@@ -681,10 +736,12 @@ impl HashChain {
 
     /// Bytes this chain's owner actually stores: all elements for full
     /// storage (Table 2's signer strategy), or O(√n) checkpoints plus the
-    /// cursor-segment buffer, once allocated, for compact storage.
+    /// cursor-segment buffer, once allocated, for compact storage. A
+    /// thawed chain reports its frozen footprint until it first discloses.
     #[must_use]
     pub fn stored_bytes(&self) -> usize {
         match &self.storage {
+            Storage::Dormant { .. } => self.freeze().stored_bytes(),
             Storage::Full(e) => e.len() * self.alg.digest_len(),
             Storage::Compact {
                 checkpoints,
@@ -711,16 +768,20 @@ impl HashChain {
             Storage::Full(_) => StorageKind::Full,
             Storage::Compact { .. } => StorageKind::Compact,
             Storage::Dyadic { .. } => StorageKind::Dyadic,
+            Storage::Dormant { target, .. } => *target,
         }
     }
 
     /// Freeze this chain to its minimal hibernation record: the seed hash
     /// `h_0` plus the disclosure cursor. Everything else a chain holds is
-    /// a deterministic function of `h_0`, so [`FrozenChain::thaw`] rebuilds
-    /// a chain whose disclosures are byte-identical to this one's.
+    /// a deterministic function of `h_0`, so [`FrozenChain::thaw`] yields
+    /// a chain whose disclosures are byte-identical to this one's. A chain
+    /// thawed and not yet disclosed from freezes back to its record bit
+    /// for bit, without hashing.
     #[must_use]
     pub fn freeze(&self) -> FrozenChain {
         let seed_hash = match &self.storage {
+            Storage::Dormant { seed_hash, .. } => *seed_hash,
             Storage::Full(e) => e[0],
             Storage::Compact { checkpoints, .. } => checkpoints[0],
             // The highest pebble is pinned at position 0 (the seed hash).
@@ -750,10 +811,11 @@ pub enum StorageKind {
 
 /// A hibernated hash chain: one digest (`h_0`) plus the derivation
 /// parameters and the disclosure cursor — a few dozen bytes regardless of
-/// chain length, against up to `(len + 1) · s_h` live. Thawing re-derives
+/// chain length, against up to `(len + 1) · s_h` live. Thawing is O(1):
+/// the chain stays dormant until it first discloses, which re-derives
 /// the live storage in `len` forward hashes; the rebuilt chain discloses
 /// the exact same bytes the frozen one would have.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrozenChain {
     /// Hash algorithm.
     pub alg: Algorithm,
@@ -770,30 +832,26 @@ pub struct FrozenChain {
 }
 
 impl FrozenChain {
-    /// Rebuild the live chain. Costs `len` forward hashes (the same work
-    /// as generating the chain), re-deriving full elements, compact
-    /// checkpoints, or dyadic pebbles positioned at the frozen cursor.
+    /// Revive the chain without hashing. The result answers
+    /// [`HashChain::remaining`], [`HashChain::len`],
+    /// [`HashChain::storage_kind`] and [`HashChain::freeze`] at once; its
+    /// first disclosure costs `len` forward hashes (the same work as
+    /// generating the chain), re-deriving full elements, compact
+    /// checkpoints, or dyadic pebbles positioned at the frozen cursor. A
+    /// chain its owner never discloses from before the next freeze — a
+    /// receive-only host's signature chain — is never rebuilt.
     #[must_use]
     pub fn thaw(&self) -> HashChain {
-        let mut chain = match self.storage {
-            StorageKind::Full => {
-                HashChain::full_from_h0(self.alg, self.kind, self.len, self.seed_hash)
-            }
-            StorageKind::Compact => {
-                HashChain::compact_from_h0(self.alg, self.kind, self.len, self.seed_hash)
-            }
-            StorageKind::Dyadic => HashChain::dyadic_from_h0(
-                self.alg,
-                self.kind,
-                self.len,
-                // Pebbles positioned exactly at the frozen cursor; an
-                // exhausted chain parks them at the seed.
-                self.next.min(self.len - 1),
-                self.seed_hash,
-            ),
-        };
-        chain.next = self.next;
-        chain
+        HashChain {
+            alg: self.alg,
+            kind: self.kind,
+            storage: Storage::Dormant {
+                seed_hash: self.seed_hash,
+                len: self.len,
+                target: self.storage,
+            },
+            next: self.next,
+        }
     }
 
     /// Bytes this record occupies (the hibernation footprint).
@@ -801,64 +859,10 @@ impl FrozenChain {
     pub fn stored_bytes(&self) -> usize {
         self.alg.digest_len() + 2 * std::mem::size_of::<u64>() + 3
     }
-
-    /// Thaw two chains in one two-lane rebuild — the wake path of a
-    /// hibernated association rehydrates its signature and
-    /// acknowledgment chains together, and lane-parallel hashing (see
-    /// [`crate::backend`]) hides the per-step latency a sequential
-    /// rebuild pays twice. Byte-identical to two [`FrozenChain::thaw`]
-    /// calls; layouts that don't pair up (different algorithm or
-    /// length, non-full storage) fall back to exactly that.
-    #[must_use]
-    pub fn thaw_pair(a: &FrozenChain, b: &FrozenChain) -> (HashChain, HashChain) {
-        if a.alg != b.alg
-            || a.len != b.len
-            || a.storage != StorageKind::Full
-            || b.storage != StorageKind::Full
-        {
-            return (a.thaw(), b.thaw());
-        }
-        let (alg, len) = (a.alg, a.len);
-        let kinds = [a.kind, b.kind];
-        let mut cur = [a.seed_hash, b.seed_hash];
-        let mut elements: Vec<Vec<Digest>> = cur
-            .iter()
-            .map(|h0| {
-                let mut v = Vec::with_capacity(len as usize + 1);
-                v.push(*h0); // h_0: never disclosed
-                v
-            })
-            .collect();
-        let mut next = [Digest::zero(alg); 2];
-        for i in 1..=len {
-            let jobs = [
-                step_job(kinds[0], i, &cur[0]),
-                step_job(kinds[1], i, &cur[1]),
-            ];
-            crate::backend::hash_parts_lanes(alg, &jobs, &mut next);
-            elements[0].push(next[0]);
-            elements[1].push(next[1]);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        let mut chains = kinds
-            .iter()
-            .zip(elements)
-            .map(|(&kind, elements)| HashChain {
-                alg,
-                kind,
-                storage: Storage::Full(elements),
-                next: 0,
-            });
-        let mut ca = chains.next().expect("two lanes");
-        let mut cb = chains.next().expect("two lanes");
-        ca.next = a.next;
-        cb.next = b.next;
-        (ca, cb)
-    }
 }
 
 /// The message hashed by [`derive`] for step `index`, as a lane job for
-/// the lockstep builders.
+/// the lockstep builder ([`HashChain::from_seeds_batch`]).
 fn step_job(kind: ChainKind, index: u64, prev: &Digest) -> PartsRef<'_> {
     match kind.tag(index) {
         Some(tag) => PartsRef::new(&[tag, prev.as_bytes()]),
@@ -1010,30 +1014,6 @@ mod tests {
         let b = HashChain::from_seed(Algorithm::Sha1, ChainKind::RoleBoundSignature, 10, b"seed");
         assert_eq!(a.anchor(), b.anchor());
         assert_eq!(a.element(3), b.element(3));
-    }
-
-    #[test]
-    fn thaw_pair_matches_independent_thaws() {
-        // Paired lanes: same algorithm and length, full storage,
-        // distinct kinds and cursors.
-        let a = HashChain::from_seed(Algorithm::Sha256, ChainKind::RoleBoundSignature, 64, b"a");
-        let mut b = HashChain::from_seed(Algorithm::Sha256, ChainKind::RoleBoundAck, 64, b"b");
-        b.disclose().unwrap();
-        let (ta, tb) = FrozenChain::thaw_pair(&a.freeze(), &b.freeze());
-        for i in 0..=64 {
-            assert_eq!(ta.element(i), a.element(i), "sig lane element {i}");
-            assert_eq!(tb.element(i), b.element(i), "ack lane element {i}");
-        }
-        assert_eq!(ta.remaining(), a.remaining());
-        assert_eq!(tb.remaining(), b.remaining(), "cursor survives the pair");
-
-        // Mismatched layouts fall back to two sequential thaws.
-        let c =
-            HashChain::from_seed_dyadic(Algorithm::Sha256, ChainKind::RoleBoundSignature, 64, b"c");
-        let (tc, td) = FrozenChain::thaw_pair(&c.freeze(), &b.freeze());
-        assert_eq!(tc.anchor(), c.anchor());
-        assert_eq!(tc.storage_kind(), StorageKind::Dyadic);
-        assert_eq!(td.element(5), b.element(5));
     }
 
     #[test]
@@ -1440,9 +1420,18 @@ mod compact_tests {
         assert_eq!(live.remaining(), 1013);
         let frozen = live.freeze();
         let mut thawed = frozen.thaw();
-        assert_eq!(thawed.stored_bytes(), fresh, "thaw starts with no cache");
+        assert_eq!(
+            thawed.stored_bytes(),
+            frozen.stored_bytes(),
+            "dormant until it first discloses"
+        );
         assert_eq!(thawed.remaining(), live.remaining());
         assert_eq!(thawed.disclose(), live.disclose());
+        assert_eq!(
+            thawed.stored_bytes(),
+            fresh + 31 * 20,
+            "rebuilt checkpoints plus the one segment cached"
+        );
         while let Ok(pair) = live.disclose_pair() {
             assert_eq!(thawed.disclose_pair().unwrap(), pair);
         }
@@ -1618,6 +1607,160 @@ mod freeze_tests {
                 v2.accept_role(ai, &ae, Role::Announce).unwrap();
                 v2.accept_role(ki, &ke, Role::Disclose).unwrap();
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod dormant_tests {
+    use super::*;
+    use crate::counting::Scope;
+
+    const ALG: Algorithm = Algorithm::Sha1;
+    const KIND: ChainKind = ChainKind::RoleBoundSignature;
+
+    fn build(storage: StorageKind, len: u64) -> HashChain {
+        match storage {
+            StorageKind::Full => HashChain::from_seed(ALG, KIND, len, b"dormant"),
+            StorageKind::Compact => HashChain::from_seed_compact(ALG, KIND, len, b"dormant"),
+            StorageKind::Dyadic => HashChain::from_seed_dyadic(ALG, KIND, len, b"dormant"),
+        }
+    }
+
+    /// Live chains of every layout at lengths 2, 64 and 1024, with the
+    /// cursor fresh, aligned mid-chain, misaligned (a stray single
+    /// disclose) and exhausted.
+    fn cases() -> Vec<(String, HashChain)> {
+        let mut out = Vec::new();
+        for storage in [StorageKind::Full, StorageKind::Compact, StorageKind::Dyadic] {
+            for len in [2u64, 64, 1024] {
+                let fresh = build(storage, len);
+                let mut aligned = fresh.clone();
+                for _ in 0..len / 4 {
+                    aligned.disclose_pair().unwrap();
+                }
+                let mut misaligned = aligned.clone();
+                let _ = misaligned.disclose();
+                let mut exhausted = fresh.clone();
+                while exhausted.disclose().is_ok() {}
+                for (cursor, chain) in [
+                    ("fresh", fresh),
+                    ("aligned", aligned),
+                    ("misaligned", misaligned),
+                    ("exhausted", exhausted),
+                ] {
+                    let label = format!("{storage:?} len={len} {cursor} next={}", chain.next);
+                    out.push((label, chain));
+                }
+            }
+        }
+        out
+    }
+
+    /// The chain a thaw built eagerly before dormancy: storage rebuilt
+    /// from the seed hash at once, dyadic pebbles at the frozen cursor.
+    fn eager_thaw(f: &FrozenChain) -> HashChain {
+        let mut chain = match f.storage {
+            StorageKind::Full => HashChain::full_from_h0(f.alg, f.kind, f.len, f.seed_hash),
+            StorageKind::Compact => HashChain::compact_from_h0(f.alg, f.kind, f.len, f.seed_hash),
+            StorageKind::Dyadic => {
+                HashChain::dyadic_from_h0(f.alg, f.kind, f.len, f.next.min(f.len - 1), f.seed_hash)
+            }
+        };
+        chain.next = f.next;
+        chain
+    }
+
+    #[test]
+    fn thaw_and_refreeze_cost_no_hashes_and_return_the_record() {
+        for (label, live) in cases() {
+            let frozen = live.freeze();
+            let scope = Scope::start();
+            let thawed = frozen.thaw();
+            assert_eq!(thawed.remaining(), live.remaining(), "{label}");
+            assert_eq!(thawed.remaining_pairs(), live.remaining_pairs(), "{label}");
+            assert_eq!(thawed.len(), live.len(), "{label}");
+            assert_eq!(thawed.storage_kind(), live.storage_kind(), "{label}");
+            assert_eq!(thawed.stored_bytes(), frozen.stored_bytes(), "{label}");
+            assert_eq!(thawed.freeze(), frozen, "{label}");
+            assert_eq!(scope.finish().invocations, 0, "{label}");
+        }
+    }
+
+    #[test]
+    fn dormant_disclosures_are_byte_identical_to_a_never_frozen_chain() {
+        for (label, live) in cases() {
+            // Lead with a single disclose or with a pair: on a misaligned
+            // cursor the pair skips the stray element first.
+            for lead_single in [true, false] {
+                let mut never = live.clone();
+                let mut thawed = live.freeze().thaw();
+                if lead_single {
+                    assert_eq!(thawed.disclose(), never.disclose(), "{label}");
+                }
+                loop {
+                    let pair = never.disclose_pair();
+                    assert_eq!(thawed.disclose_pair(), pair, "{label}");
+                    if pair.is_err() {
+                        break;
+                    }
+                }
+                assert_eq!(thawed.remaining(), never.remaining(), "{label}");
+                assert_eq!(thawed.freeze(), never.freeze(), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_disclosure_costs_what_an_eager_thaw_and_disclosure_cost() {
+        // Materializing before the cursor moves leaves dyadic pebbles
+        // where an eager thaw put them, so the rebuild plus the first
+        // disclosure hashes exactly as much as it did before dormancy.
+        for (label, live) in cases() {
+            let frozen = live.freeze();
+            for lead_single in [true, false] {
+                let disclose = |c: &mut HashChain| {
+                    if lead_single {
+                        c.disclose().map(|(i, _)| i)
+                    } else {
+                        c.disclose_pair().map(|((i, _), _)| i)
+                    }
+                };
+                let scope = Scope::start();
+                let mut eager = eager_thaw(&frozen);
+                let want = disclose(&mut eager);
+                let eager_cost = scope.finish().invocations;
+                let mut thawed = frozen.thaw();
+                let scope = Scope::start();
+                assert_eq!(disclose(&mut thawed), want, "{label}");
+                let cost = scope.finish().invocations;
+                if want.is_ok() {
+                    assert_eq!(cost, eager_cost, "{label} lead_single={lead_single}");
+                } else {
+                    assert!(cost <= eager_cost, "{label}: exhausted");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dormant_random_access_matches_live_and_stays_dormant() {
+        for (label, live) in cases() {
+            let frozen = live.freeze();
+            let thawed = frozen.thaw();
+            let len = live.len();
+            for i in [0, 1, len / 2, len - 1, len] {
+                assert_eq!(thawed.try_element(i), live.try_element(i), "{label} i={i}");
+            }
+            assert_eq!(
+                thawed.try_element(len + 1),
+                Err(ChainError::IndexOutOfRange),
+                "{label}"
+            );
+            assert_eq!(thawed.peek(), live.peek(), "{label}");
+            assert_eq!(thawed.anchor(), live.anchor(), "{label}");
+            assert_eq!(thawed.stored_bytes(), frozen.stored_bytes(), "{label}");
+            assert_eq!(thawed.freeze(), frozen, "{label}");
         }
     }
 }

@@ -320,16 +320,16 @@ enum FlowState {
 
 /// Frozen-record codec for the store: the `alpha-core` hibernation
 /// record plus the optional adaptation snapshot, length-prefixed so
-/// both decode totally.
+/// both decode totally. The body is encoded in place behind a length
+/// placeholder, so the record is written into one buffer.
 fn encode_frozen_record(frozen: &FrozenAssociation, adapt: Option<&FrozenAdapt>) -> Vec<u8> {
-    let body = frozen.encode();
-    let mut out = Vec::with_capacity(4 + body.len() + 1 + 84);
-    out.extend_from_slice(
-        &u32::try_from(body.len())
-            .expect("record fits u32")
-            .to_be_bytes(),
-    );
-    out.extend_from_slice(&body);
+    // Room for an idle record with an adaptation snapshot; larger
+    // (mid-bundle) records grow the buffer.
+    let mut out = Vec::with_capacity(256);
+    out.extend_from_slice(&[0; 4]);
+    frozen.encode_into(&mut out);
+    let body_len = u32::try_from(out.len() - 4).expect("record fits u32");
+    out[..4].copy_from_slice(&body_len.to_be_bytes());
     match adapt {
         Some(a) => {
             out.push(1);
@@ -337,6 +337,9 @@ fn encode_frozen_record(frozen: &FrozenAssociation, adapt: Option<&FrozenAdapt>)
         }
         None => out.push(0),
     }
+    // The record sits in the store until the flow wakes: hold only its
+    // bytes.
+    out.shrink_to_fit();
     out
 }
 
@@ -1766,6 +1769,10 @@ impl EngineCore {
     /// frozen flow gets the record re-frozen untouched, so hibernation
     /// adds no spoofing surface. The thawed flow resumes mid-stream
     /// with no handshake and decisions identical to a never-slept one.
+    /// Kept out of line: inlined, it grew the one handler every relay
+    /// and host datagram runs through, for a path only hibernating hosts
+    /// take.
+    #[inline(never)]
     fn host_thaw(
         &self,
         idx: usize,
@@ -3282,6 +3289,167 @@ mod tests {
         let (_, from_server) = pump(&client, ca, &server, sa, out.datagrams, t2, &mut rng);
         assert_eq!(from_server.delivered[0].2, b"genuine");
         assert_eq!(store_counts(&server), (1, 1, 0, 1));
+    }
+
+    #[test]
+    fn wake_rebuilds_one_chain_and_a_forgery_rebuilds_none() {
+        let len = 64u64; // cfg()'s chain length
+        let client = EngineCore::new(cfg());
+        let server = EngineCore::new(cfg().with_hibernate_after(Some(50_000)));
+        let ca = addr(1750);
+        let sa = addr(2750);
+        let mut rng = StdRng::seed_from_u64(36);
+        let mut now = Timestamp::from_millis(1);
+        let (key, out) = client.connect(sa, 44, now, &mut rng);
+        pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+        let host_key = FlowKey {
+            peer: ca,
+            assoc_id: key.assoc_id,
+        };
+        let record = || server.store.lock().get(&host_key).map(<[u8]>::to_vec);
+        // Hand `datagrams` to the server, counting only its hashes.
+        let to_server = |datagrams: &[(SocketAddr, Frame)], now, rng: &mut StdRng| {
+            let scope = alpha_crypto::counting::Scope::start();
+            let mut out = EngineOutput::default();
+            for (_, bytes) in datagrams {
+                out.absorb(server.handle_datagram(ca, bytes, now, rng));
+            }
+            (out, scope.finish().invocations)
+        };
+
+        // Idle flow: hibernate, then wake with an S1→S2 exchange. Only
+        // the acknowledgment chain discloses (the A1), so only it is
+        // rebuilt; the host's signature chain stays dormant.
+        for round in 0..3 {
+            now = now.plus_micros(60_000);
+            let _ = server.poll(now, &mut rng);
+            assert!(record().is_some(), "round {round}: flow hibernated");
+            let payload = format!("wake {round}");
+            let s1 = client
+                .sign_batch(key, &[payload.as_bytes()], Mode::Base, now)
+                .unwrap();
+            let (a1, s1_hashes) = to_server(&s1.datagrams, now, &mut rng);
+            let mut s2 = EngineOutput::default();
+            for (_, bytes) in &a1.datagrams {
+                s2.absorb(client.handle_datagram(sa, bytes, now, &mut rng));
+            }
+            let (delivered, s2_hashes) = to_server(&s2.datagrams, now, &mut rng);
+            assert_eq!(delivered.delivered.len(), 1, "round {round} delivered");
+            assert_eq!(delivered.delivered[0].2, payload.as_bytes());
+            let wake = s1_hashes + s2_hashes;
+            assert!(
+                wake <= len + 8,
+                "round {round}: {wake} host hashes for a wake, bound {}",
+                len + 8
+            );
+        }
+        assert_eq!(store_counts(&server), (3, 3, 0, 0));
+
+        // Mid-bundle: the host holds S1's pre-signature when it freezes,
+        // so a forged S2 reaches the key and MAC checks of the thawed
+        // association. Each forgery must bounce off without rebuilding a
+        // chain and leave the record byte for byte as it was.
+        let s1 = client
+            .sign_batch(key, &[b"mid-bundle".as_slice()], Mode::Base, now)
+            .unwrap();
+        let (a1, _) = to_server(&s1.datagrams, now, &mut rng);
+        let mut s2 = EngineOutput::default();
+        for (_, bytes) in &a1.datagrams {
+            s2.absorb(client.handle_datagram(sa, bytes, now, &mut rng));
+        }
+        assert_eq!(s2.datagrams.len(), 1);
+        now = now.plus_micros(60_000);
+        let _ = server.poll(now, &mut rng);
+        let frozen = record().expect("flow hibernated mid-bundle");
+        let genuine = Packet::parse(&s2.datagrams[0].1).unwrap();
+        let forge = |flip_key: bool| {
+            let mut p = genuine.clone();
+            let alpha_wire::Body::S2 { key, payload, .. } = &mut p.body else {
+                panic!("expected an S2");
+            };
+            if flip_key {
+                let mut k = key.as_bytes().to_vec();
+                k[0] ^= 1;
+                *key = alpha_crypto::Digest::from_slice(&k);
+            } else {
+                payload[0] ^= 1;
+            }
+            let mut bytes = Vec::new();
+            p.encode_into(&mut bytes);
+            bytes
+        };
+        for (n, flip_key) in [true, false].into_iter().enumerate() {
+            let scope = alpha_crypto::counting::Scope::start();
+            let o = server.handle_datagram(ca, &forge(flip_key), now, &mut rng);
+            let hashes = scope.finish().invocations;
+            assert!(o.delivered.is_empty() && o.datagrams.is_empty());
+            assert_eq!(
+                store_counts(&server),
+                (4, 3, 0, n as u64 + 1),
+                "forgery {n} rejected"
+            );
+            assert!(hashes <= 8, "forgery {n} cost {hashes} hashes");
+            assert_eq!(record().as_ref(), Some(&frozen), "record untouched");
+        }
+        // The genuine S2 still wakes the flow and delivers.
+        let (delivered, _) = to_server(&s2.datagrams, now, &mut rng);
+        assert_eq!(delivered.delivered[0].2, b"mid-bundle");
+        assert_eq!(store_counts(&server), (4, 4, 0, 2));
+    }
+
+    #[test]
+    fn frozen_record_is_encoded_in_one_buffer_identically() {
+        // The record layout before it was written into one buffer: the
+        // encoded association copied behind its length, then the
+        // adaptation flag and snapshot.
+        let two_step = |frozen: &FrozenAssociation, adapt: Option<&FrozenAdapt>| {
+            let body = frozen.encode();
+            let mut out = (body.len() as u32).to_be_bytes().to_vec();
+            out.extend_from_slice(&body);
+            match adapt {
+                Some(a) => {
+                    out.push(1);
+                    out.extend_from_slice(&a.to_bytes());
+                }
+                None => out.push(0),
+            }
+            out
+        };
+        let client = EngineCore::new(cfg());
+        let server = EngineCore::new(cfg());
+        let ca = addr(1760);
+        let sa = addr(2760);
+        let mut rng = StdRng::seed_from_u64(37);
+        let now = Timestamp::from_millis(1);
+        let (key, out) = client.connect(sa, 45, now, &mut rng);
+        pump(&client, ca, &server, sa, out.datagrams, now, &mut rng);
+        let host_key = FlowKey {
+            peer: ca,
+            assoc_id: key.assoc_id,
+        };
+        let adapt = FlowAdapt::new(AdaptConfig::default()).freeze();
+        let check = |what: &str| {
+            let frozen = server
+                .with_association(host_key, |a| a.freeze().expect("idle signer"))
+                .expect("host flow");
+            for adapt in [None, Some(&adapt)] {
+                let record = encode_frozen_record(&frozen, adapt);
+                assert_eq!(record, two_step(&frozen, adapt), "{what}");
+                let (back, _) = decode_frozen_record(&record).expect("decodes");
+                assert_eq!(back.encode(), frozen.encode(), "{what}");
+            }
+            frozen.encode().len()
+        };
+        let idle = check("idle");
+        // Deliver the S1 only: the host now buffers the exchange.
+        let s1 = client
+            .sign_batch(key, &[b"buffered".as_slice()], Mode::Base, now)
+            .unwrap();
+        for (_, bytes) in &s1.datagrams {
+            let _ = server.handle_datagram(ca, bytes, now, &mut rng);
+        }
+        let mid_bundle = check("mid-bundle");
+        assert!(mid_bundle > idle, "the buffered exchange is in the record");
     }
 
     #[test]

@@ -29,6 +29,12 @@ pub struct TimerWheel<T> {
     current_tick: u64,
     slots: Vec<Vec<Entry<T>>>, // LEVELS * SLOTS
     pending: usize,
+    /// Earliest pending deadline tick (`u64::MAX` when none), valid
+    /// unless `earliest_stale`: `schedule` lowers it, and `advance`
+    /// marks it stale when it fires or re-places entries, so
+    /// [`TimerWheel::next_deadline`] rescans only after timers moved.
+    earliest: u64,
+    earliest_stale: bool,
 }
 
 impl<T> TimerWheel<T> {
@@ -45,6 +51,8 @@ impl<T> TimerWheel<T> {
             current_tick: start.micros() / tick_us,
             slots,
             pending: 0,
+            earliest: u64::MAX,
+            earliest_stale: false,
         }
     }
 
@@ -92,6 +100,7 @@ impl<T> TimerWheel<T> {
             item,
         });
         self.pending += 1;
+        self.earliest = self.earliest.min(deadline_tick);
     }
 
     /// Advance the wheel to `now`, appending every expired item to
@@ -111,6 +120,7 @@ impl<T> TimerWheel<T> {
             // Fire level 0.
             let slot0 = tick as usize % SLOTS;
             if !self.slots[slot0].is_empty() {
+                self.earliest_stale = true;
                 let drained: Vec<Entry<T>> = std::mem::take(&mut self.slots[slot0]);
                 for e in drained {
                     if e.deadline_tick <= tick {
@@ -132,6 +142,7 @@ impl<T> TimerWheel<T> {
                 let idx = (tick / unit) as usize % SLOTS;
                 let slot = level * SLOTS + idx;
                 if !self.slots[slot].is_empty() {
+                    self.earliest_stale = true;
                     let drained: Vec<Entry<T>> = std::mem::take(&mut self.slots[slot]);
                     for e in drained {
                         if e.deadline_tick <= tick {
@@ -153,18 +164,24 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// Earliest scheduled deadline, if any (exact, O(pending)).
-    #[must_use]
-    pub fn next_deadline(&self) -> Option<Timestamp> {
+    /// Earliest scheduled deadline, if any (exact). O(1) unless an
+    /// `advance` has fired or re-placed timers since the last call, which
+    /// costs one O(pending) rescan.
+    pub fn next_deadline(&mut self) -> Option<Timestamp> {
         if self.pending == 0 {
             return None;
         }
-        self.slots
-            .iter()
-            .flatten()
-            .map(|e| e.deadline_tick)
-            .min()
-            .map(|t| Timestamp::from_micros(t * self.tick_us))
+        if self.earliest_stale {
+            self.earliest = self
+                .slots
+                .iter()
+                .flatten()
+                .map(|e| e.deadline_tick)
+                .min()
+                .unwrap_or(u64::MAX);
+            self.earliest_stale = false;
+        }
+        Some(Timestamp::from_micros(self.earliest * self.tick_us))
     }
 }
 
@@ -230,6 +247,44 @@ mod tests {
         w.schedule(Timestamp::from_millis(100_000_005), 7);
         w.advance(Timestamp::from_millis(100_000_010), &mut fired);
         assert_eq!(fired, vec![7]);
+    }
+
+    #[test]
+    fn cached_next_deadline_matches_a_full_scan() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..32u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut w = TimerWheel::new(Timestamp::ZERO, 100);
+            let mut now = 0u64;
+            let mut fired = Vec::new();
+            for step in 0..400u32 {
+                if rng.gen_bool(0.6) {
+                    // Overdue, level-0, mid-level and overflow deadlines.
+                    let at = match rng.gen_range(0..4u32) {
+                        0 => now.saturating_sub(rng.gen_range(0..1_000u64)),
+                        1 => now + rng.gen_range(0..6_400u64),
+                        2 => now + rng.gen_range(0..409_600u64),
+                        _ => now + rng.gen_range(0..2_000_000_000u64),
+                    };
+                    w.schedule(Timestamp::from_micros(at), step);
+                } else {
+                    now += rng.gen_range(0..50_000u64);
+                    w.advance(Timestamp::from_micros(now), &mut fired);
+                }
+                // Query on some steps only, so staleness accumulates
+                // across several schedule/advance calls between scans.
+                if rng.gen_bool(0.5) {
+                    let scan = w
+                        .slots
+                        .iter()
+                        .flatten()
+                        .map(|e| e.deadline_tick)
+                        .min()
+                        .map(|t| Timestamp::from_micros(t * w.tick_us));
+                    assert_eq!(w.next_deadline(), scan, "seed {seed} step {step}");
+                }
+            }
+        }
     }
 
     #[test]

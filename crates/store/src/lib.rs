@@ -209,6 +209,14 @@ impl<K: Copy + Eq + Hash> FrozenStore<K> {
         evicted
     }
 
+    /// The record for `key`, read without touching its recency.
+    /// Diagnostic.
+    #[must_use]
+    pub fn get(&self, key: &K) -> Option<&[u8]> {
+        let i = *self.index.get(key)?;
+        Some(&self.slots[i as usize].record)
+    }
+
     /// Remove and return the record for `key` (the thaw path).
     pub fn remove(&mut self, key: &K) -> Option<Vec<u8>> {
         let i = *self.index.get(key)?;
